@@ -219,6 +219,44 @@ pub trait RelationSource {
         pattern: &[Option<Value>],
         visit: &mut dyn FnMut(&[Value], f64),
     ) -> Result<(), EvalError>;
+
+    /// The exact sum of the multiplicities of the entries matching `prefix`
+    /// (every position bound except `col`) whose `col` value lies in `range`,
+    /// under the same [`Value`] ordering comparison filters use. `None` means
+    /// the source cannot answer exactly and the caller must traverse the
+    /// entries instead; the default never answers.
+    fn range_sum(
+        &self,
+        _name: &str,
+        _prefix: &[Option<Value>],
+        _col: usize,
+        _range: &KeyRange,
+    ) -> Option<f64> {
+        None
+    }
+}
+
+/// A key interval for [`RelationSource::range_sum`]: every stored key `k`
+/// with `lo <(=) k` and `k <(=) hi` is in range.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct KeyRange {
+    /// Lower end `(bound, inclusive)`; `None` = unbounded below.
+    pub lo: Option<(Value, bool)>,
+    /// Upper end `(bound, inclusive)`; `None` = unbounded above.
+    pub hi: Option<(Value, bool)>,
+    /// Set when the ends were rearranged across integer arithmetic (a filter
+    /// `p - k > c` asked as `k < p - c`). The rearrangement is exact only when
+    /// every key involved is a nonzero integral number with
+    /// `|k| + slack < 2^53`, so a source may answer only then.
+    pub slack: Option<f64>,
+}
+
+/// Does [`Value`]'s ordering compare `v` exactly against every other value?
+/// `Long`s beyond ±2^53 compare against doubles through a rounding cast, which
+/// breaks transitivity, so ordered structures must not rely on them.
+#[inline]
+pub fn exactly_ordered(v: &Value) -> bool {
+    !matches!(v, Value::Long(x) if x.unsigned_abs() > 1u64 << 53)
 }
 
 /// Does `tuple` satisfy the partial binding pattern?

@@ -57,7 +57,9 @@ pub use batch::{
     delta_abs_relation_name, delta_relation_name, DeltaBatch, DeltaEntry, RelationDelta,
 };
 pub use delta::{delta, higher_order_delta, TupleUpdate, UpdateEvent, UpdateSign};
-pub use eval::{eval, eval_scalar, Bindings, EvalError, EvalScratch, MemSource, RelationSource};
+pub use eval::{
+    eval, eval_scalar, Bindings, EvalError, EvalScratch, KeyRange, MemSource, RelationSource,
+};
 pub use expr::{AtomKind, CmpOp, Expr, RelRef, ScalarFn};
 pub use opt::{canonical_key, decorrelate, expand, simplify, Monomial, Polynomial};
 pub use plan::{lower_statement, CompiledStmt, KernelCounters, KernelState, KernelWork};

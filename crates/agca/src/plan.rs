@@ -78,36 +78,47 @@
 //! engine falls back to the AST interpreter for that statement — which is also
 //! the differential-testing oracle for the statements that *do* compile.
 //!
-//! ## Banded prelude scans
+//! ## Range sums over ordered indexes
 //!
-//! Statements like axfinder's spend their time in a *prelude*: a fused scan
-//! over a loop-invariant map filtered by a range predicate on the event tuple
-//! (`b_price > t_price + k`, say). Driven over a multi-entry batch run, the
-//! same map is walked once per entry with only the bound changing. Lowering
-//! detects this shape statically ([`BandSpec`]): a fused-scan comparison
-//! whose two sides are linear in exactly one scan-bound key slot with `±1`
-//! coefficients, rearranged into `key < bound` / `key > bound` (or their
-//! inclusive forms) where `bound` is computable before the scan binds
-//! anything. At run time, when a statement is driven over a run of
-//! [`BAND_MIN_RUN_ENTRIES`] or more entries, the executor builds a
-//! `BandCache` for the scanned map once per (prelude, loop-invariant
-//! bounds) pair: keys sorted ascending with prefix sums of the scan's
-//! emissions. Each entry's range predicate then resolves to a contiguous
-//! band of the sorted keys, answered by binary search plus a prefix-sum
-//! subtraction instead of a full traversal.
+//! The finance queries nest aggregates under inequality predicates: vwap's
+//! `Sum(m_vwap_2(p2) * (p2 > p1))` runs once per entry of an outer scan, psp
+//! compares a volume against a loop-invariant threshold, axfinder filters a
+//! price band around the event's price. Traversing the inner map for every
+//! firing makes each of them O(n) per evaluation. Lowering rewrites every
+//! [`Scalar::SubSum`] of shape `AggSum*(pre… × Scan(M) × cmp(key, bound)…)`
+//! — one free key position, every filter after the scan a range comparison
+//! on that key, and `pre` ops that emit at most once — into an
+//! [`Op::RangeSum`]. At run time it asks the source for the exact
+//! multiplicity sum of the bucket's keys in the interval
+//! ([`RelationSource::range_sum`]); the runtime store answers from a
+//! persistent ordered aggregate index in O(log n), maintained on every write,
+//! so one mechanism serves every such sub-aggregate at any batch size. A
+//! bound is either the filter's own operand, compared with the key exactly as
+//! the filter would ([`RangeBound::Value`]), or a linear filter such as
+//! `p - key > 1000` rearranged into `key < p - 1000`
+//! ([`RangeBound::Linear`]).
 //!
-//! **Exactness.** A prefix-sum subtraction reassociates the float additions a
-//! traversal would do in map order, so the cache is only used when the sums
-//! are exactly representable: every emitted multiplicity and every key must
-//! be a finite integer-valued double, magnitudes (and their running sums)
-//! bounded well inside `2^53`, and the comparison bound itself an exact
-//! integer. Any violation — at build time or per lookup — disables the cache
-//! for that prelude and the executor falls back to the plain traversal, so
-//! banded and unbanded execution are bit-identical, not approximately equal.
-//! Caches live for one run: `prepare` resets the run-entry count to 1, so
-//! per-event and entry-major processing never see a stale band.
+//! **Exactness.** A range sum reassociates the additions a traversal would do
+//! in map order, so it is used only when every order gives the same bits:
+//! the source answers only while every multiplicity in the bucket is a finite
+//! integer and their magnitudes sum below 2^53 (then every partial sum is an
+//! exact integer), and the kernel only when the incoming multiplicity is ±1
+//! (exact scaling) and its emission reaches the sub-sum's accumulator
+//! directly. A linear bound is exact only over integers, so its leaves must be
+//! nonzero integral numbers, the keys likewise, and Σ|leaf| + |key| stay
+//! below 2^53 — then `p - key > 1000 ⇔ key < p - 1000` is an identity of the
+//! arithmetic both sides perform. Whenever a guard fails the op runs its
+//! `fallback`, the original scan and filters, so both paths are bit-identical,
+//! not approximately equal.
+//!
+//! Lowering also moves loop-invariant lifts ahead of the scan they sit in, so
+//! psp's `lift $6 := subsum(probe m_psp_1[])` is probed once per evaluation
+//! instead of once per scanned entry, and its range filter is left alone
+//! behind the scan.
 
-use crate::eval::{matches_pattern, product_order_by, EvalError, RelationSource};
+use crate::eval::{
+    exactly_ordered, matches_pattern, product_order_by, EvalError, KeyRange, RelationSource,
+};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
 use dbtoaster_gmr::{FastMap, Tuple, Value};
 use serde::{Deserialize, Serialize};
@@ -228,6 +239,36 @@ pub enum Op {
         /// Scratch map index (see [`KernelState`]).
         scratch: u16,
     },
+    /// Range aggregate (see the module docs): emit the exact multiplicity
+    /// sum of the entries matching `template` whose `col` value satisfies
+    /// every `ranges` comparison, as answered by
+    /// [`RelationSource::range_sum`]; run `fallback` when the source cannot
+    /// answer exactly.
+    RangeSum {
+        /// Relation / view / map name.
+        rel: String,
+        /// Pattern buffer index (shared with the fallback scan).
+        buf: u16,
+        /// Per position: `Some(slot)` = bound hole; `None` only at `col`.
+        template: Vec<Option<Slot>>,
+        /// The ordered key position.
+        col: u16,
+        /// Constraints `key cmp bound`, all of which must hold.
+        ranges: Vec<(CmpOp, RangeBound)>,
+        /// The original scan and range filters.
+        fallback: Box<Op>,
+    },
+}
+
+/// The bound of one [`Op::RangeSum`] constraint `key cmp bound`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum RangeBound {
+    /// The filter's other operand: compared with the key exactly as the
+    /// filter compares it.
+    Value(Scalar),
+    /// A linear filter rearranged to isolate the key; exact only under the
+    /// integer guards of the module docs.
+    Linear(NumExpr),
 }
 
 /// A numeric-only compiled scalar, evaluated directly on `f64`s in the fused
@@ -270,51 +311,19 @@ pub struct FusedMember {
     pub fast: Option<Vec<FastOp>>,
     /// Frame slot receiving the member's total (as a double).
     pub dest: Slot,
-    /// Banded-lookup specialization of `fast`: present when every fast op is
-    /// a range comparison linear in one scanned column (see [`BandSpec`]).
-    pub band: Option<BandSpec>,
-}
-
-/// A banded-lookup specialization of one fused member: every op of its fast
-/// pipeline is a range comparison (`<`, `<=`, `>`, `>=`) that is linear, with
-/// coefficient ±1, in exactly one scanned column — so the member's total is
-/// the sum of the multiplicities of the entries whose key falls in one
-/// interval. When a delta run re-executes the same prelude scan for many
-/// batch entries, the executor sorts the scanned entries by that column
-/// *once* per distinct set of bound template values and answers each member
-/// with two binary searches over prefix sums instead of a full traversal
-/// (axfinder's six price-band aggregates are the canonical case: O(log n)
-/// per batch entry instead of O(n)).
-///
-/// Bit-exactness with the per-entry traversal is guaranteed by runtime
-/// guards, not by construction: the banded answer is used only when every
-/// scanned key, every multiplicity and every bound-expression leaf is a
-/// nonzero integer-valued finite number and all magnitude sums stay below
-/// 2^53. In that regime every f64 addition both paths perform is exact
-/// integer arithmetic, so the algebraic rearrangement `price - key > 1000 ⇔
-/// key < price - 1000` is an identity and prefix-sum differences equal the
-/// traversal's running sums. Any guard violation falls back to the full
-/// traversal for that batch entry (or marks the cache line unusable).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BandSpec {
-    /// The scanned tuple position whose value is the band key.
-    pub key_pos: u16,
-    /// Normalized constraints `key cmp bound`, all of which must hold. The
-    /// bound expressions read only slots that are invariant during the scan
-    /// (trigger slots), never scan-bound slots.
-    pub ranges: Vec<(CmpOp, NumExpr)>,
 }
 
 /// A loop-invariant sub-aggregate scan hoisted into the statement prelude.
 ///
 /// Several [`Scalar::SubSum`] sub-plans of one statement often traverse the
-/// same bucket with the same pattern (axfinder's six `Sum[](M(bk,p) * filter)`
-/// terms are the canonical case). Because such a sub-plan reads only trigger
-/// slots (plus what its own scan binds), its value is the same wherever in the
-/// statement it is evaluated — so it is computed **once**, before the main
-/// plan, and sub-plans sharing a scan signature share a **single** bucket
-/// traversal with one accumulator per member. The main plan then just reads
-/// the result slots. (The prelude runs unconditionally, even when the main
+/// same bucket with the same pattern (terms like `Sum[](M(bk,p) * p * filter)`
+/// whose weights read the scanned entry; sub-aggregates whose only filters
+/// are key ranges become [`Op::RangeSum`]s first). Because such a sub-plan
+/// reads only trigger slots (plus what its own scan binds), its value is the
+/// same wherever in the statement it is evaluated — so it is computed
+/// **once**, before the main plan, and sub-plans sharing a scan signature
+/// share a **single** bucket traversal with one accumulator per member. The
+/// main plan then just reads the result slots. (The prelude runs unconditionally, even when the main
 /// plan would short-circuit on a zero factor; the store is read-only during a
 /// statement, so this can never change a result.)
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -338,10 +347,6 @@ pub struct FusedScan {
     /// batch executor runs it **once per batch** instead of once per entry
     /// (see [`CompiledStmt::execute_batch_entry`]).
     pub entry_invariant: bool,
-    /// When every member carries a [`BandSpec`] on the same scanned position,
-    /// that position: the whole traversal can be replaced by banded lookups
-    /// against a sorted per-run cache (see [`BandSpec`]).
-    pub band_pos: Option<u16>,
 }
 
 /// A compiled trigger statement: the lowered right-hand side plus the
@@ -708,6 +713,16 @@ pub fn lower_statement(
         trigger_slots: trigger_vars.len() as u16,
         used_trigger_slots: Vec::new(),
     };
+    walk_op(&mut stmt.plan, false, &mut |op, _| {
+        if let Op::Product(ops) = op {
+            hoist_lifts(ops);
+        }
+    });
+    walk_op(&mut stmt.plan, false, &mut |op, subsum_root| {
+        if subsum_root {
+            lower_range_sum(op);
+        }
+    });
     hoist_invariant_subsums(&mut stmt);
     stmt.used_trigger_slots = used_trigger_slots(&stmt);
     Some(stmt)
@@ -732,6 +747,175 @@ fn used_trigger_slots(stmt: &CompiledStmt) -> Vec<Slot> {
     reads.sort_unstable();
     reads.dedup();
     reads
+}
+
+// ---------------------------------------------------------------------------
+// Invariant lifts and range sums
+// ---------------------------------------------------------------------------
+
+/// Post-order walk over every op of a plan, including the sub-plans in
+/// scalar positions; `f` also learns whether the op is the root of a
+/// [`Scalar::SubSum`] (whose emissions go straight to its accumulator).
+fn walk_op(op: &mut Op, subsum_root: bool, f: &mut dyn FnMut(&mut Op, bool)) {
+    match op {
+        Op::Product(ops) | Op::Sum(ops) => {
+            for o in ops {
+                walk_op(o, false, f);
+            }
+        }
+        Op::Neg(inner) | Op::AggSum(inner) | Op::Exists { inner, .. } => walk_op(inner, false, f),
+        Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
+            walk_scalar(s, f)
+        }
+        Op::CmpFilter { left, right, .. } => {
+            walk_scalar(left, f);
+            walk_scalar(right, f);
+        }
+        Op::ConstMult(_)
+        | Op::SlotMult(_)
+        | Op::Probe { .. }
+        | Op::Scan { .. }
+        | Op::RangeSum { .. } => {}
+    }
+    f(op, subsum_root);
+}
+
+fn walk_scalar(s: &mut Scalar, f: &mut dyn FnMut(&mut Op, bool)) {
+    match s {
+        Scalar::SubSum(op) => walk_op(op, true, f),
+        Scalar::Neg(inner) => walk_scalar(inner, f),
+        Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => {
+            for x in xs {
+                walk_scalar(x, f);
+            }
+        }
+        Scalar::Cmp(_, l, r) => {
+            walk_scalar(l, f);
+            walk_scalar(r, f);
+        }
+        Scalar::Const(_) | Scalar::Slot(_) => {}
+    }
+}
+
+/// Move every lift of a product whose value does not depend on a scan ahead
+/// of that scan, so it is evaluated once instead of once per scanned entry.
+/// Lifts pass multiplicities through unchanged, so the product's emissions
+/// keep their values and order. The one observable difference: a lift whose
+/// evaluation fails now fails the statement even when the scan is empty.
+fn hoist_lifts(ops: &mut [Op]) {
+    for i in 0..ops.len() {
+        let Op::LiftBind { slot, value } = &ops[i] else {
+            continue;
+        };
+        let slot = *slot;
+        let mut needs = vec![slot];
+        scalar_reads(value, &mut needs);
+        // Earliest position with nothing in between that writes a slot the
+        // lift reads (or its own), or reads its slot.
+        let mut p = i;
+        while p > 0 {
+            let (mut w, mut r) = (Vec::new(), Vec::new());
+            op_writes(&ops[p - 1], &mut w);
+            op_reads(&ops[p - 1], &mut r);
+            if w.iter().any(|s| needs.contains(s)) || r.contains(&slot) {
+                break;
+            }
+            p -= 1;
+        }
+        if let Some(q) = (p..i).find(|&q| matches!(ops[q], Op::Scan { .. })) {
+            ops[q..=i].rotate_right(1);
+        }
+    }
+}
+
+/// Ops that emit at most once and never iterate: the `pre` ops a range sum
+/// may follow.
+fn emits_at_most_once(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::ConstMult(_)
+            | Op::SlotMult(_)
+            | Op::ScalarMult(_)
+            | Op::Probe { .. }
+            | Op::LiftBind { .. }
+            | Op::LiftEq { .. }
+            | Op::CmpFilter { .. }
+    )
+}
+
+/// Rewrite a [`Scalar::SubSum`] root of shape `AggSum*(pre… × Scan × cmp…)`
+/// into `pre… × RangeSum` (see the module docs); anything else is left as is.
+fn lower_range_sum(op: &mut Op) {
+    let mut body = op;
+    while let Op::AggSum(inner) = body {
+        body = inner;
+    }
+    let Op::Product(ops) = body else {
+        return;
+    };
+    let Some(j) = ops.iter().position(|o| !emits_at_most_once(o)) else {
+        return;
+    };
+    let Op::Scan {
+        rel,
+        buf,
+        template,
+        binds,
+        eqs,
+    } = &ops[j]
+    else {
+        return;
+    };
+    let &[(col, key)] = binds.as_slice() else {
+        return;
+    };
+    if !eqs.is_empty() || template.iter().flatten().count() + 1 != template.len() {
+        return;
+    }
+    let reads_key = |s: &Scalar| {
+        let mut r = Vec::new();
+        scalar_reads(s, &mut r);
+        r.contains(&key)
+    };
+    let mut ranges = Vec::new();
+    for filter in &ops[j + 1..] {
+        let Op::CmpFilter { cmp, left, right } = filter else {
+            return;
+        };
+        if matches!(cmp, CmpOp::Eq | CmpOp::Ne) {
+            return;
+        }
+        let range = if *left == Scalar::Slot(key) && !reads_key(right) {
+            (*cmp, RangeBound::Value(right.clone()))
+        } else if *right == Scalar::Slot(key) && !reads_key(left) {
+            (cmp.flip(), RangeBound::Value(left.clone()))
+        } else {
+            let (Some(l), Some(r)) = (num_expr(left), num_expr(right)) else {
+                return;
+            };
+            match linear_key_bound(*cmp, &l, &r, key) {
+                Some((c, b)) => (c, RangeBound::Linear(b)),
+                None => return,
+            }
+        };
+        ranges.push(range);
+    }
+    if ranges.is_empty() {
+        return;
+    }
+    let range_sum = Op::RangeSum {
+        rel: rel.clone(),
+        buf: *buf,
+        template: template.clone(),
+        col,
+        ranges,
+        fallback: Box::new(Op::Product(ops.split_off(j))),
+    };
+    if ops.is_empty() {
+        *body = range_sum;
+    } else {
+        ops.push(range_sum);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -762,6 +946,8 @@ fn op_reads(op: &Op, out: &mut Vec<Slot>) {
             scalar_reads(right, out);
         }
         Op::Exists { inner, .. } => op_reads(inner, out),
+        // The fallback reads everything the range lookup does.
+        Op::RangeSum { fallback, .. } => op_reads(fallback, out),
     }
 }
 
@@ -774,7 +960,11 @@ fn op_writes(op: &Op, out: &mut Vec<Slot>) {
                 op_writes(o, out);
             }
         }
-        Op::Neg(inner) | Op::AggSum(inner) => op_writes(inner, out),
+        Op::Neg(inner)
+        | Op::AggSum(inner)
+        | Op::RangeSum {
+            fallback: inner, ..
+        } => op_writes(inner, out),
         Op::LiftBind { slot, .. } => out.push(*slot),
         Op::Exists { inner, slots, .. } => {
             out.extend(slots.iter().copied());
@@ -835,7 +1025,7 @@ fn simple_cont_op(op: &Op) -> bool {
         Op::CmpFilter { left, right, .. } => simple_scalar(left) && simple_scalar(right),
         Op::Product(ops) | Op::Sum(ops) => ops.iter().all(simple_cont_op),
         Op::Neg(inner) | Op::AggSum(inner) => simple_cont_op(inner),
-        Op::Probe { .. } | Op::Scan { .. } | Op::Exists { .. } => false,
+        Op::Probe { .. } | Op::Scan { .. } | Op::Exists { .. } | Op::RangeSum { .. } => false,
     }
 }
 
@@ -871,7 +1061,13 @@ impl Hoister {
                 self.hoist_scalar(right);
             }
             Op::Exists { inner, .. } => self.hoist_op(inner),
-            Op::ConstMult(_) | Op::SlotMult(_) | Op::Probe { .. } | Op::Scan { .. } => {}
+            // Opaque: its bounds mirror the fallback's filters and must stay
+            // in step with them.
+            Op::ConstMult(_)
+            | Op::SlotMult(_)
+            | Op::Probe { .. }
+            | Op::Scan { .. }
+            | Op::RangeSum { .. } => {}
         }
     }
 
@@ -955,13 +1151,10 @@ impl Hoister {
             .any(|s| (*s as usize) < self.trigger_slots as usize);
         let dest = self.next_slot as Slot;
         self.next_slot += 1;
-        let fast = compile_fast(cont);
-        let band = fast.as_deref().and_then(|f| member_band(f, binds));
         let member = FusedMember {
-            fast,
+            fast: compile_fast(cont),
             cont: cont.to_vec(),
             dest,
-            band,
         };
         // With equal templates and equality checks, the bound positions are
         // fully determined (first free occurrences), so (rel, template, eqs)
@@ -992,26 +1185,14 @@ impl Hoister {
             eqs: eqs.clone(),
             members: vec![member],
             entry_invariant,
-            band_pos: None,
         });
         Some(dest)
     }
 }
 
-/// `a cmp b ⇔ b mirror(cmp) a`.
-fn mirror_cmp(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Ge => CmpOp::Le,
-        other => other,
-    }
-}
-
 /// Flatten an `Add`/`Neg` tree into signed `Slot`/`Const` leaves
 /// (`true` = negated). Returns `false` if the tree contains `Mul` — such
-/// predicates stay on the per-entry path.
+/// predicates are not linear.
 fn flatten_linear(e: &NumExpr, neg: bool, out: &mut Vec<(bool, NumExpr)>) -> bool {
     match e {
         NumExpr::Const(_) | NumExpr::Slot(_) => {
@@ -1037,76 +1218,51 @@ fn bound_expr(leaves: Vec<(bool, NumExpr)>) -> NumExpr {
     }
 }
 
-/// Derive a [`BandSpec`] from a member's fast pipeline against the member's
-/// own scan bindings: no weights, and every predicate a range comparison in
-/// which exactly one leaf — always over the same scanned position — is a
-/// scan-bound slot with coefficient ±1 (reachable through `Add`/`Neg` only).
-/// Each predicate is rearranged into `key cmp bound`; the rearrangement is an
-/// *algebraic* identity, made exact at run time by the integer guards
-/// documented on [`BandSpec`].
-fn member_band(fast: &[FastOp], binds: &[(u16, Slot)]) -> Option<BandSpec> {
-    let key_slot = |e: &NumExpr| match e {
-        NumExpr::Slot(s) => binds.iter().find(|(_, bs)| bs == s).map(|(p, _)| *p),
-        _ => None,
-    };
-    let mut key_pos: Option<u16> = None;
-    let mut ranges = Vec::new();
-    for op in fast {
-        let FastOp::Pred(cmp, l, r) = op else {
-            return None;
-        };
-        if matches!(cmp, CmpOp::Eq | CmpOp::Ne) {
-            return None;
-        }
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        if !flatten_linear(l, false, &mut left) || !flatten_linear(r, false, &mut right) {
-            return None;
-        }
-        let lk: Vec<usize> = (0..left.len())
-            .filter(|&i| key_slot(&left[i].1).is_some())
-            .collect();
-        let rk: Vec<usize> = (0..right.len())
-            .filter(|&i| key_slot(&right[i].1).is_some())
-            .collect();
-        let (key_in_left, idx) = match (lk.as_slice(), rk.as_slice()) {
-            ([i], []) => (true, *i),
-            ([], [i]) => (false, *i),
-            _ => return None,
-        };
-        let (mut rest, other) = if key_in_left {
-            (left, right)
-        } else {
-            (right, left)
-        };
-        let (negated, key_leaf) = rest.remove(idx);
-        let pos = key_slot(&key_leaf).unwrap();
-        if *key_pos.get_or_insert(pos) != pos {
-            return None;
-        }
-        // Orient the key's side left: `±key + rest cmp_l other`.
-        let cmp_l = if key_in_left { *cmp } else { mirror_cmp(*cmp) };
-        let (cmp_k, bound) = if !negated {
-            // key cmp_l other - rest
-            let terms: Vec<_> = other
-                .into_iter()
-                .chain(rest.into_iter().map(|(n, e)| (!n, e)))
-                .collect();
-            (cmp_l, terms)
-        } else {
-            // -key + rest cmp_l other ⇔ key mirror(cmp_l) rest - other
-            let terms: Vec<_> = rest
-                .into_iter()
-                .chain(other.into_iter().map(|(n, e)| (!n, e)))
-                .collect();
-            (mirror_cmp(cmp_l), terms)
-        };
-        ranges.push((cmp_k, bound_expr(bound)));
+/// Rearrange a linear comparison `l cmp r` in which exactly one leaf is the
+/// `key` slot, with coefficient ±1 (reached through `Add`/`Neg` only), into
+/// `key cmp' bound`. The rearrangement is an *algebraic* identity, made exact
+/// at run time by the integer guards in the module docs.
+fn linear_key_bound(cmp: CmpOp, l: &NumExpr, r: &NumExpr, key: Slot) -> Option<(CmpOp, NumExpr)> {
+    if matches!(cmp, CmpOp::Eq | CmpOp::Ne) {
+        return None;
     }
-    key_pos.map(|kp| BandSpec {
-        key_pos: kp,
-        ranges,
-    })
+    let mut left = Vec::new();
+    let mut right = Vec::new();
+    if !flatten_linear(l, false, &mut left) || !flatten_linear(r, false, &mut right) {
+        return None;
+    }
+    let is_key = |e: &NumExpr| *e == NumExpr::Slot(key);
+    let lk: Vec<usize> = (0..left.len()).filter(|&i| is_key(&left[i].1)).collect();
+    let rk: Vec<usize> = (0..right.len()).filter(|&i| is_key(&right[i].1)).collect();
+    let (key_in_left, idx) = match (lk.as_slice(), rk.as_slice()) {
+        ([i], []) => (true, *i),
+        ([], [i]) => (false, *i),
+        _ => return None,
+    };
+    let (mut rest, other) = if key_in_left {
+        (left, right)
+    } else {
+        (right, left)
+    };
+    let (negated, _) = rest.remove(idx);
+    // Orient the key's side left: `±key + rest cmp_l other`.
+    let cmp_l = if key_in_left { cmp } else { cmp.flip() };
+    let (cmp_k, bound): (CmpOp, Vec<_>) = if !negated {
+        // key cmp_l other - rest
+        let terms = other
+            .into_iter()
+            .chain(rest.into_iter().map(|(n, e)| (!n, e)))
+            .collect();
+        (cmp_l, terms)
+    } else {
+        // -key + rest cmp_l other ⇔ key flip(cmp_l) rest - other
+        let terms = rest
+            .into_iter()
+            .chain(other.into_iter().map(|(n, e)| (!n, e)))
+            .collect();
+        (cmp_l.flip(), terms)
+    };
+    Some((cmp_k, bound_expr(bound)))
 }
 
 /// Specialize a fused member's continuation into numeric fast ops, when every
@@ -1201,10 +1357,11 @@ fn eval_num(e: &NumExpr, frame: &[Value]) -> Option<(f64, bool)> {
     }
 }
 
-/// Evaluate a banded range bound: `Add`/`Neg` folds over finite, nonzero,
-/// integer-valued leaves only. Returns `(value, Σ|leaf|)`; the magnitude sum
-/// is what bounds every intermediate of both the original and the rearranged
-/// comparison (see [`BandSpec`]). `None` = fall back to the full traversal.
+/// Evaluate a [`RangeBound::Linear`] bound: `Add`/`Neg` folds over finite,
+/// nonzero, integer-valued leaves only. Returns `(value, Σ|leaf|)`; the
+/// magnitude sum is what bounds every intermediate of both the original and
+/// the rearranged comparison (see the module docs). `None` = fall back to
+/// the traversal.
 fn eval_bound(e: &NumExpr, frame: &[Value]) -> Option<(f64, f64)> {
     match e {
         NumExpr::Const(c) => bound_leaf(*c),
@@ -1304,17 +1461,6 @@ fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
     stmt.plan = plan;
     stmt.frame_size = h.next_slot as u16;
     stmt.prelude = h.groups;
-    // A scan is banded only when every fused member banded on the same
-    // scanned position (members joining a group later may not have).
-    for g in &mut stmt.prelude {
-        g.band_pos = match g.members.split_first() {
-            Some((first, rest)) => first.band.as_ref().map(|b| b.key_pos).filter(|&p| {
-                rest.iter()
-                    .all(|m| m.band.as_ref().is_some_and(|b| b.key_pos == p))
-            }),
-            None => None,
-        };
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1336,10 +1482,10 @@ pub struct KernelCounters {
     pub entries_scanned: Cell<u64>,
     /// Fused prelude traversals (one bucket walk answering every member).
     pub fused_scans: Cell<u64>,
-    /// Banded prelude lookups answered from the sorted prefix-sum cache.
-    pub banded_hits: Cell<u64>,
-    /// Banded prelude lookups that bailed to a full traversal.
-    pub banded_bails: Cell<u64>,
+    /// [`Op::RangeSum`] evaluations answered by the source's ordered index.
+    pub range_sum_hits: Cell<u64>,
+    /// [`Op::RangeSum`] evaluations that fell back to the traversal.
+    pub range_sum_bails: Cell<u64>,
 }
 
 /// A drained, plain-integer copy of one [`KernelCounters`] block.
@@ -1353,10 +1499,10 @@ pub struct KernelWork {
     pub entries_scanned: u64,
     /// See [`KernelCounters::fused_scans`].
     pub fused_scans: u64,
-    /// See [`KernelCounters::banded_hits`].
-    pub banded_hits: u64,
-    /// See [`KernelCounters::banded_bails`].
-    pub banded_bails: u64,
+    /// See [`KernelCounters::range_sum_hits`].
+    pub range_sum_hits: u64,
+    /// See [`KernelCounters::range_sum_bails`].
+    pub range_sum_bails: u64,
 }
 
 impl KernelCounters {
@@ -1367,8 +1513,8 @@ impl KernelCounters {
             scans: self.scans.take(),
             entries_scanned: self.entries_scanned.take(),
             fused_scans: self.fused_scans.take(),
-            banded_hits: self.banded_hits.take(),
-            banded_bails: self.banded_bails.take(),
+            range_sum_hits: self.range_sum_hits.take(),
+            range_sum_bails: self.range_sum_bails.take(),
         }
     }
 }
@@ -1391,13 +1537,6 @@ pub struct KernelState {
     scratch: Vec<FastMap<Tuple, f64>>,
     /// Per-member accumulators for fused prelude scans.
     fused_accs: Vec<Cell<f64>>,
-    /// Banded prelude cache lines, keyed by `(prelude index, bound template
-    /// values)`. Valid only while the store is unchanged — cleared by
-    /// [`KernelState::prepare`].
-    bands: FastMap<(u16, Tuple), BandCache>,
-    /// Number of delta-run entries the caller will execute against the
-    /// current prepared state (see [`KernelState::set_run_entries`]).
-    run_entries: u32,
     /// Buffered `(key, multiplicity)` emissions of the last execution.
     pub out: Vec<(Tuple, f64)>,
     /// Work-counter blocks, one per attribution slot (the engine maps slots
@@ -1442,18 +1581,7 @@ impl KernelState {
         if self.fused_accs.len() < members {
             self.fused_accs.resize(members, Cell::new(0.0));
         }
-        self.bands.clear();
-        self.run_entries = 1;
         self.out.clear();
-    }
-
-    /// Tell the kernel how many delta-run entries the caller will execute
-    /// against the current prepared state (the store must stay unchanged in
-    /// between, which the buffered-apply discipline guarantees). Runs of at
-    /// least [`BAND_MIN_RUN_ENTRIES`] entries enable the banded prelude
-    /// cache; [`KernelState::prepare`] resets the count to 1.
-    pub fn set_run_entries(&mut self, n: usize) {
-        self.run_entries = n.min(u32::MAX as usize) as u32;
     }
 
     /// Make sure at least `n` counter blocks exist (never shrinks).
@@ -1462,26 +1590,6 @@ impl KernelState {
             self.counter_slots.push(KernelCounters::default());
         }
     }
-}
-
-/// Minimum delta-run entries before a banded prelude pays for its sort.
-pub const BAND_MIN_RUN_ENTRIES: u32 = 4;
-
-/// One banded prelude cache line: the matching entries of one fused scan for
-/// one set of bound template values, sorted by band key, with exact integer
-/// prefix sums of their multiplicities.
-#[derive(Debug, Default)]
-struct BandCache {
-    /// Did every build-time guard hold (integer nonzero keys and integer
-    /// multiplicities, magnitudes within the exact-f64 range)? `false` is a
-    /// negative cache: these bound values keep full traversals.
-    ok: bool,
-    /// Band-key values, ascending by `total_cmp`.
-    keys: Vec<f64>,
-    /// `prefix[i]` = exact sum of the first `i` entries' multiplicities.
-    prefix: Vec<f64>,
-    /// Largest |key|, part of the rearrangement-exactness magnitude bound.
-    max_abs_key: f64,
 }
 
 /// Downstream continuation of an emission: the remaining pipeline stages plus
@@ -1506,8 +1614,6 @@ struct Exec<'a> {
     patterns: &'a mut [Vec<Option<Value>>],
     scratch: &'a mut [FastMap<Tuple, f64>],
     accs: &'a [Cell<f64>],
-    bands: &'a mut FastMap<(u16, Tuple), BandCache>,
-    run_entries: u32,
     counters: &'a KernelCounters,
     out: &'a mut Vec<(Tuple, f64)>,
     /// Rows below this index belong to earlier batch entries: the sink's
@@ -1727,6 +1833,36 @@ impl Exec<'_> {
                     self.finish(mult, tail);
                 }
             }
+            Op::RangeSum {
+                rel,
+                buf,
+                template,
+                col,
+                ranges,
+                fallback,
+            } => {
+                // Scaling by ±1 is exact; any other incoming multiplicity
+                // would round differently from per-entry scaling.
+                let total = if mult.abs() == 1.0 {
+                    self.range_total(rel, *buf, template, *col, ranges)
+                } else {
+                    None
+                };
+                match total {
+                    Some(total) => {
+                        bump(&self.counters.range_sum_hits);
+                        // A traversal whose entries cancel leaves the
+                        // accumulator at +0.0, exactly like no emission.
+                        if total != 0.0 {
+                            self.finish(mult * total, tail);
+                        }
+                    }
+                    None => {
+                        bump(&self.counters.range_sum_bails);
+                        self.exec(fallback, mult, tail);
+                    }
+                }
+            }
             Op::Exists {
                 inner,
                 slots,
@@ -1758,21 +1894,10 @@ impl Exec<'_> {
 
     /// Run one fused prelude scan: a single bucket traversal feeding every
     /// member's filter chain into its own accumulator, then write the totals
-    /// into the members' result slots. Over a long enough delta run, a fully
-    /// banded scan (see [`BandSpec`]) is answered from a sorted cache
-    /// instead.
-    fn run_prelude(&mut self, idx: u16, fs: &FusedScan) {
+    /// into the members' result slots.
+    fn run_prelude(&mut self, fs: &FusedScan) {
         if self.error.is_some() {
             return;
-        }
-        if self.run_entries >= BAND_MIN_RUN_ENTRIES {
-            if let Some(pos) = fs.band_pos {
-                if self.run_banded(idx, fs, pos) || self.error.is_some() {
-                    bump(&self.counters.banded_hits);
-                    return;
-                }
-                bump(&self.counters.banded_bails);
-            }
         }
         bump(&self.counters.fused_scans);
         let accs = self.accs;
@@ -1809,178 +1934,51 @@ impl Exec<'_> {
         }
     }
 
-    /// Answer every member of a banded prelude scan from sorted prefix sums.
-    /// Returns `false` — caller falls back to the full traversal, which is
-    /// the bit-exactness baseline — whenever any exactness guard trips: a
-    /// bound-expression leaf, scanned key or multiplicity that is not a
-    /// finite integer-valued number (keys and leaves must also be nonzero,
-    /// which rules the `-0.0`/`+0.0` `total_cmp` corner cases out of both
-    /// evaluation orders), or a magnitude sum reaching 2^53. Within the
-    /// guards every addition either path performs is exact, so the banded
-    /// interval sums equal the traversal's accumulators bit for bit.
-    fn run_banded(&mut self, idx: u16, fs: &FusedScan, pos: u16) -> bool {
-        // Evaluate every member's bounds first (they read only trigger
-        // slots); any failure bails before any state is touched.
-        const MAX_RANGES: usize = 16;
-        let mut bounds = [(CmpOp::Lt, 0.0f64); MAX_RANGES];
-        let mut mags = [0.0f64; MAX_RANGES];
-        let mut n = 0usize;
-        for m in &fs.members {
-            let Some(band) = &m.band else {
-                return false;
+    /// Evaluate an [`Op::RangeSum`]'s bounds and ask the source for the
+    /// interval's sum. `None` (bounds that fail to evaluate or fail a guard,
+    /// or a source that cannot answer exactly) sends the caller to the
+    /// fallback traversal, which also reproduces any evaluation error.
+    fn range_total(
+        &mut self,
+        rel: &str,
+        buf: u16,
+        template: &[Option<Slot>],
+        col: u16,
+        ranges: &[(CmpOp, RangeBound)],
+    ) -> Option<f64> {
+        let mut range = KeyRange::default();
+        for (cmp, bound) in ranges {
+            let b = match bound {
+                RangeBound::Value(s) => match self.eval_scalar(s) {
+                    Ok(v) => v,
+                    Err(_) => {
+                        self.error = None;
+                        return None;
+                    }
+                },
+                RangeBound::Linear(e) => {
+                    let (b, mag) = eval_bound(e, self.frame)?;
+                    // A `-0.0` bound orders differently under `total_cmp`
+                    // than the original comparison's `+0.0` difference.
+                    if b == 0.0 && b.is_sign_negative() {
+                        return None;
+                    }
+                    range.slack = Some(range.slack.unwrap_or(0.0).max(mag));
+                    Value::double(b)
+                }
             };
-            for (cmp, be) in &band.ranges {
-                if n == MAX_RANGES || matches!(cmp, CmpOp::Eq | CmpOp::Ne) {
-                    return false;
-                }
-                let Some((b, mag)) = eval_bound(be, self.frame) else {
-                    return false;
-                };
-                // `-0.0` bounds (an all-negated-zero-terms fold) would order
-                // differently under `total_cmp` than the original compare.
-                if b == 0.0 && b.is_sign_negative() {
-                    return false;
-                }
-                bounds[n] = (*cmp, b);
-                mags[n] = mag;
-                n += 1;
+            if !exactly_ordered(&b) {
+                return None;
             }
+            tighten(&mut range, *cmp, b)?;
         }
-        let probe: Tuple = fs
-            .template
-            .iter()
-            .flatten()
-            .map(|&s| self.frame[s as usize].clone())
-            .collect();
-        let probe = (idx, probe);
-        if !self.bands.contains_key(&probe) {
-            let cache = self.build_band_cache(fs, pos);
-            if self.error.is_some() {
-                // The traversal error stands; `execute` will surface it.
-                return true;
-            }
-            self.bands.insert(probe.clone(), cache);
+        let mut pattern = std::mem::take(&mut self.patterns[buf as usize]);
+        for (p, t) in pattern.iter_mut().zip(template.iter()) {
+            *p = t.map(|slot| self.frame[slot as usize].clone());
         }
-        let cache = &self.bands[&probe];
-        if !cache.ok {
-            return false;
-        }
-        // Σ|leaf| + |key| < 2^53 bounds every intermediate of both the
-        // original and the rearranged comparison, making them identical.
-        if mags[..n]
-            .iter()
-            .any(|&mag| mag + cache.max_abs_key >= EXACT_INT_BOUND)
-        {
-            return false;
-        }
-        let len = cache.keys.len();
-        let mut r = 0usize;
-        for m in &fs.members {
-            let band = m.band.as_ref().expect("checked above");
-            let (mut lo, mut hi) = (0usize, len);
-            for _ in &band.ranges {
-                let (cmp, b) = bounds[r];
-                r += 1;
-                // `partition_point` closures mirror `num_cmp`'s `total_cmp`
-                // ordering exactly.
-                use std::cmp::Ordering::{Greater, Less};
-                match cmp {
-                    CmpOp::Lt => {
-                        hi = hi.min(cache.keys.partition_point(|k| k.total_cmp(&b) == Less))
-                    }
-                    CmpOp::Le => {
-                        hi = hi.min(cache.keys.partition_point(|k| k.total_cmp(&b) != Greater))
-                    }
-                    CmpOp::Gt => {
-                        lo = lo.max(cache.keys.partition_point(|k| k.total_cmp(&b) != Greater))
-                    }
-                    CmpOp::Ge => {
-                        lo = lo.max(cache.keys.partition_point(|k| k.total_cmp(&b) == Less))
-                    }
-                    CmpOp::Eq | CmpOp::Ne => {} // rejected above
-                }
-            }
-            let total = if hi > lo {
-                cache.prefix[hi] - cache.prefix[lo]
-            } else {
-                0.0
-            };
-            self.frame[m.dest as usize] = Value::double(total);
-        }
-        true
-    }
-
-    /// Build one banded cache line: traverse the scan once (respecting the
-    /// template and equality checks exactly as the per-entry path does),
-    /// collect `(band key, multiplicity)` pairs, sort by key and integrate.
-    /// Any guard violation yields a `!ok` negative line.
-    fn build_band_cache(&mut self, fs: &FusedScan, pos: u16) -> BandCache {
-        let Some(&(_, slot)) = fs.binds.iter().find(|(p, _)| *p == pos) else {
-            return BandCache::default();
-        };
-        let binds = [(pos, slot)];
-        let mut pairs: Vec<(f64, f64)> = Vec::new();
-        let mut ok = true;
-        let mut max_abs = 0.0f64;
-        self.scan_atom(
-            &fs.rel,
-            fs.buf,
-            &fs.template,
-            &fs.eqs,
-            &binds,
-            &mut |me, m| {
-                if !ok {
-                    return;
-                }
-                let k = match &me.frame[slot as usize] {
-                    Value::Long(v) if v.unsigned_abs() <= (1u64 << 53) => *v as f64,
-                    Value::Double(d) => *d,
-                    _ => {
-                        ok = false;
-                        return;
-                    }
-                };
-                if !(k.is_finite() && k.fract() == 0.0 && k != 0.0 && k.abs() <= EXACT_INT_BOUND)
-                    || !(m.is_finite() && m.fract() == 0.0 && m.abs() <= EXACT_INT_BOUND)
-                {
-                    ok = false;
-                    return;
-                }
-                max_abs = max_abs.max(k.abs());
-                pairs.push((k, m));
-            },
-        );
-        if self.error.is_some() {
-            return BandCache::default();
-        }
-        if ok {
-            pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            let mut keys = Vec::with_capacity(pairs.len());
-            let mut prefix = Vec::with_capacity(pairs.len() + 1);
-            let (mut acc, mut cum_abs) = (0.0f64, 0.0f64);
-            prefix.push(0.0);
-            for (k, m) in pairs {
-                // Bounding Σ|m| (not just each running prefix) keeps every
-                // partial sum of *any* contiguous range exact.
-                cum_abs += m.abs();
-                if cum_abs >= EXACT_INT_BOUND {
-                    ok = false;
-                    break;
-                }
-                acc += m;
-                keys.push(k);
-                prefix.push(acc);
-            }
-            if ok {
-                return BandCache {
-                    ok: true,
-                    keys,
-                    prefix,
-                    max_abs_key: max_abs,
-                };
-            }
-        }
-        BandCache::default()
+        let total = self.src.range_sum(rel, &pattern, col as usize, &range);
+        self.patterns[buf as usize] = pattern;
+        total
     }
 
     fn eval_scalar(&mut self, s: &Scalar) -> Result<Value, EvalError> {
@@ -2023,6 +2021,29 @@ impl Exec<'_> {
     }
 }
 
+/// Intersect `range` with `key cmp b` (`b` exactly ordered, so the ends
+/// compare consistently; on equal ends the exclusive one is tighter).
+/// `None` for (never lowered) equality comparisons.
+fn tighten(range: &mut KeyRange, cmp: CmpOp, b: Value) -> Option<()> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let (end, inclusive, keep) = match cmp {
+        CmpOp::Lt => (&mut range.hi, false, Less),
+        CmpOp::Le => (&mut range.hi, true, Less),
+        CmpOp::Gt => (&mut range.lo, false, Greater),
+        CmpOp::Ge => (&mut range.lo, true, Greater),
+        CmpOp::Eq | CmpOp::Ne => return None,
+    };
+    match end {
+        Some((cur, cur_inclusive)) => match b.total_cmp(cur) {
+            Equal => *cur_inclusive &= inclusive,
+            ord if ord == keep => *end = Some((b, inclusive)),
+            _ => {}
+        },
+        None => *end = Some((b, inclusive)),
+    }
+    Some(())
+}
+
 impl CompiledStmt {
     /// Execute the kernel against a relation source, buffering `(key,
     /// multiplicity)` rows into `state.out`. The caller must have called
@@ -2062,17 +2083,15 @@ impl CompiledStmt {
             patterns: &mut state.patterns,
             scratch: &mut state.scratch,
             accs: &state.fused_accs,
-            bands: &mut state.bands,
-            run_entries: state.run_entries,
             counters: &state.counter_slots[counter_slot],
             out: &mut state.out,
             merge_floor,
             key_slots: &self.key_slots,
             error: None,
         };
-        for (i, fs) in self.prelude.iter().enumerate() {
+        for fs in &self.prelude {
             if run_invariant_preludes || !fs.entry_invariant {
-                exec.run_prelude(i as u16, fs);
+                exec.run_prelude(fs);
             }
         }
         exec.exec(&self.plan, 1.0, &Tail::Rows);
@@ -2265,6 +2284,182 @@ mod tests {
         assert!(lower_statement(&[], &["k".into()], &Expr::one()).is_none());
         // String constant in multiplicity position.
         assert!(lower_statement(&[], &[], &Expr::Const(Value::str("x"))).is_none());
+    }
+
+    /// A source that answers range sums by brute force, so the `RangeSum`
+    /// hit path runs in these unit tests (`MemSource` never answers).
+    struct RangeSource(MemSource);
+
+    impl RelationSource for RangeSource {
+        fn relation_arity(&self, name: &str) -> Option<usize> {
+            self.0.relation_arity(name)
+        }
+
+        fn for_each_matching(
+            &self,
+            name: &str,
+            pattern: &[Option<Value>],
+            visit: &mut dyn FnMut(&[Value], f64),
+        ) -> Result<(), EvalError> {
+            self.0.for_each_matching(name, pattern, visit)
+        }
+
+        fn range_sum(
+            &self,
+            name: &str,
+            prefix: &[Option<Value>],
+            col: usize,
+            range: &KeyRange,
+        ) -> Option<f64> {
+            let mut total = 0.0;
+            self.0
+                .for_each_matching(name, prefix, &mut |t, m| {
+                    let k = &t[col];
+                    let lo = range
+                        .lo
+                        .as_ref()
+                        .is_none_or(|(b, i)| k > b || (*i && k == b));
+                    let hi = range
+                        .hi
+                        .as_ref()
+                        .is_none_or(|(b, i)| k < b || (*i && k == b));
+                    if lo && hi {
+                        total += m;
+                    }
+                })
+                .ok()?;
+            Some(total)
+        }
+    }
+
+    fn find_range_sums(op: &Op, out: &mut Vec<Op>) {
+        let mut op = op.clone();
+        walk_op(&mut op, false, &mut |o, _| {
+            if matches!(o, Op::RangeSum { .. }) {
+                out.push(o.clone());
+            }
+        });
+    }
+
+    #[test]
+    fn inequality_correlated_subsums_lower_to_range_sums() {
+        // Sum[]( R(a,b) * z := Sum[](S(t,d) * (d > b)) * z ): the vwap shape,
+        // with the bound read from the outer scan.
+        let inner = Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([
+                Expr::rel("S", ["t", "d"]),
+                Expr::cmp(OpC::Gt, Expr::var("d"), Expr::var("b")),
+            ]),
+        );
+        let e = Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([
+                Expr::rel("R", ["a", "b"]),
+                Expr::lift("z", inner),
+                Expr::var("z"),
+            ]),
+        );
+        let stmt = lower_statement(&["t".into()], &[], &e).unwrap();
+        let mut found = Vec::new();
+        find_range_sums(&stmt.plan, &mut found);
+        let [Op::RangeSum {
+            rel, col, ranges, ..
+        }] = found.as_slice()
+        else {
+            panic!("expected one range sum, got {found:?}");
+        };
+        assert_eq!((rel.as_str(), *col), ("S", 1));
+        assert!(matches!(ranges[..], [(CmpOp::Gt, RangeBound::Value(_))]));
+        // Fallback (MemSource never answers) and hit path both match the
+        // interpreter.
+        for t in [2, 5, 9] {
+            check(&e, &[("t", t)], &[]);
+        }
+        let src = RangeSource(db());
+        let mut state = KernelState::new();
+        state.prepare(&stmt);
+        state.frame[0] = Value::long(2);
+        stmt.execute(&src, &mut state).unwrap();
+        let compiled: f64 = state.out.iter().map(|(_, m)| m).sum();
+        let mut ctx = Bindings::new();
+        ctx.insert("t".into(), Value::long(2));
+        let expected = eval(&e, &src.0, &ctx).unwrap().scalar_value();
+        assert_eq!(compiled.to_bits(), expected.to_bits());
+        assert!(state.counter_slots[0].range_sum_hits.get() > 0);
+        assert_eq!(state.counter_slots[0].range_sum_bails.get(), 0);
+    }
+
+    #[test]
+    fn linear_filters_rearrange_and_weights_do_not_lower() {
+        // (t - d > 1) becomes d < t - 1; a weighted sum stays a scan.
+        let linear = Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([
+                Expr::rel("S", ["x", "d"]),
+                Expr::cmp(
+                    OpC::Gt,
+                    Expr::sum_of([Expr::var("t"), Expr::neg(Expr::var("d"))]),
+                    Expr::Const(Value::long(1)),
+                ),
+            ]),
+        );
+        let weighted = Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([
+                Expr::rel("S", ["x", "d"]),
+                Expr::cmp(OpC::Gt, Expr::var("d"), Expr::var("t")),
+                Expr::var("d"),
+            ]),
+        );
+        for (e, lowers) in [(linear, true), (weighted, false)] {
+            let e = Expr::product_of([Expr::lift("y", e), Expr::var("y")]);
+            let stmt = lower_statement(&["t".into(), "x".into()], &[], &e).unwrap();
+            let mut found = Vec::new();
+            find_range_sums(&stmt.plan, &mut found);
+            assert_eq!(!found.is_empty(), lowers, "{e}: {found:?}");
+            if lowers {
+                let Op::RangeSum { ranges, .. } = &found[0] else {
+                    unreachable!()
+                };
+                assert!(matches!(ranges[..], [(CmpOp::Lt, RangeBound::Linear(_))]));
+            }
+            for (t, x) in [(3, 2), (12, 5), (30, 5)] {
+                check(&e, &[("t", t), ("x", x)], &[]);
+            }
+        }
+    }
+
+    #[test]
+    fn invariant_lifts_move_ahead_of_their_scan() {
+        let scan = Op::Scan {
+            rel: "S".into(),
+            buf: 0,
+            template: vec![None, None],
+            binds: vec![(0, 1), (1, 2)],
+            eqs: vec![],
+        };
+        let invariant = Op::LiftBind {
+            slot: 3,
+            value: Scalar::Slot(0),
+        };
+        let dependent = Op::LiftBind {
+            slot: 4,
+            value: Scalar::Slot(1),
+        };
+        let filter = Op::CmpFilter {
+            cmp: CmpOp::Gt,
+            left: Scalar::Slot(2),
+            right: Scalar::Slot(3),
+        };
+        let mut ops = vec![
+            scan.clone(),
+            dependent.clone(),
+            invariant.clone(),
+            filter.clone(),
+        ];
+        hoist_lifts(&mut ops);
+        assert_eq!(ops, vec![invariant, scan, dependent, filter]);
     }
 
     #[test]

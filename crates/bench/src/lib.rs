@@ -636,9 +636,9 @@ fn batch_run(
 /// [`BATCH_SIZES`] entry. Per-event throughput is expected to *rise* with
 /// the batch size for every query now that batch-delta programs are the
 /// default dispatch: linear queries amortize dispatch and fused-scan
-/// preludes, and axfinder — formerly the flat entry-major straggler —
-/// additionally answers its price-band scans from sorted per-run prefix-sum
-/// caches, so its gain grows with the run length.
+/// preludes. axfinder — formerly the flat entry-major straggler — answers
+/// its price bands from ordered-index range sums, which cost O(log n) at
+/// every batch size, so it is fast from batch 1 on.
 pub fn batch_benchmarks(config: &ExperimentConfig) -> Vec<MicroResult> {
     let mut out = Vec::new();
     for name in ["q1", "q3", "q6", "axf", "bsv"] {

@@ -8,8 +8,10 @@
 //! observed map sizes) decides per batch; the reverse (EXPLAIN claiming a
 //! cheaper strategy than what ran) is a bug.
 //!
-//! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
-//! the explained strategy must follow `DBTOASTER_FORCE_BATCH_STRATEGY`
+//! vwap's inner `Sum(m_vwap_2(p2) * (p2 > p1))` must render as an
+//! ordered-index `range-sum`. The JSON form must round-trip through
+//! [`ProgramExplain::parse_json`], and the explained strategy must follow
+//! `DBTOASTER_FORCE_BATCH_STRATEGY`
 //! overrides exactly as the live dispatch does — all in one test function
 //! because the override is process-global state.
 
@@ -76,6 +78,20 @@ fn check_query(q: &workloads::WorkloadQuery, forced: Option<BatchStrategy>) {
             "{}: relation {relation} explained as {explained} but ran {}",
             q.name,
             live.as_str()
+        );
+    }
+    // Inequality-correlated sub-aggregates render as ordered-index range
+    // sums, and ANALYZE reports their hits and bails.
+    let text = ex.render_text();
+    assert!(
+        text.contains("range_sum="),
+        "{}: no range_sum counters",
+        q.name
+    );
+    if q.name == "vwap" {
+        assert!(
+            text.contains("range-sum m_vwap_2[>$5]"),
+            "vwap: inner sum is not a range sum:\n{text}"
         );
     }
     // The JSON form round-trips structurally.

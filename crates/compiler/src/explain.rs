@@ -9,19 +9,20 @@
 //! statement-major rule failed
 //! ([`StatementMajorBlock`](crate::program::StatementMajorBlock)) — and per
 //! statement the compiled plan: probes
-//! vs scans, product order, fused-prelude signatures, band specs and slot
+//! vs scans vs range sums, product order, fused-prelude signatures and slot
 //! assignments, straight from [`dbtoaster_agca::plan`].
 //!
 //! The same tree doubles as **EXPLAIN ANALYZE**: callers with a live engine
 //! attach per-target-view counters ([`ViewStats`] — rows written, probes,
-//! scans, entries scanned, fused/banded prelude hits, correction firings,
-//! current map size) via [`ProgramExplain::attach_stats`]. Both a text
-//! rendering and a dependency-free JSON form (round-trippable through
+//! scans, entries scanned, fused prelude scans, range-sum hits/bails,
+//! correction firings, current map size) via
+//! [`ProgramExplain::attach_stats`]. Both a text rendering and a
+//! dependency-free JSON form (round-trippable through
 //! [`ProgramExplain::parse_json`]) are provided; the server's `/explain`
 //! endpoint serves both.
 
 use crate::program::{BatchStrategy, StmtOp, Trigger, TriggerProgram};
-use dbtoaster_agca::plan::{FastOp, FusedScan, NumExpr, Op, Scalar};
+use dbtoaster_agca::plan::{FastOp, FusedScan, NumExpr, Op, RangeBound, Scalar};
 use dbtoaster_agca::UpdateSign;
 use std::fmt::Write as _;
 
@@ -40,10 +41,10 @@ pub struct ViewStats {
     pub entries_scanned: u64,
     /// Fused prelude traversals.
     pub fused_scans: u64,
-    /// Banded prelude lookups answered from the sorted cache.
-    pub banded_hits: u64,
-    /// Banded prelude lookups that fell back to a full traversal.
-    pub banded_bails: u64,
+    /// Range sums answered by an ordered aggregate index.
+    pub range_sum_hits: u64,
+    /// Range sums that fell back to a traversal.
+    pub range_sum_bails: u64,
     /// Second-order batch-correction statement firings.
     pub correction_firings: u64,
     /// Current number of entries in the map.
@@ -320,6 +321,31 @@ fn op_summary(op: &Op) -> String {
         Op::CmpFilter { cmp, left, right } => {
             format!("filter {} {cmp} {}", scalar_str(left), scalar_str(right))
         }
+        Op::RangeSum {
+            rel,
+            template,
+            col,
+            ranges,
+            ..
+        } => {
+            let cells: Vec<String> = template
+                .iter()
+                .enumerate()
+                .map(|(pos, cell)| match cell {
+                    Some(slot) => format!("=${slot}"),
+                    None if pos == *col as usize => ranges
+                        .iter()
+                        .map(|(cmp, b)| match b {
+                            RangeBound::Value(s) => format!("{cmp}{}", scalar_str(s)),
+                            RangeBound::Linear(n) => format!("{cmp}{}", num_str(n)),
+                        })
+                        .collect::<Vec<_>>()
+                        .join(" & "),
+                    None => "_".to_string(),
+                })
+                .collect();
+            format!("range-sum {rel}[{}]", cells.join(", "))
+        }
         Op::Exists { slots, .. } => format!(
             "exists key=[{}]",
             slots
@@ -414,6 +440,13 @@ fn scalar_subplans(op: &Op) -> Vec<&Op> {
             walk(left, &mut out);
             walk(right, &mut out);
         }
+        Op::RangeSum { ranges, .. } => {
+            for (_, bound) in ranges {
+                if let RangeBound::Value(s) = bound {
+                    walk(s, &mut out);
+                }
+            }
+        }
         _ => {}
     }
     out
@@ -429,9 +462,6 @@ fn fused_scan_line(fs: &FusedScan) -> String {
     if fs.entry_invariant {
         line.push_str(" entry-invariant");
     }
-    if let Some(pos) = fs.band_pos {
-        line.push_str(&format!(" banded@t{pos}"));
-    }
     for m in &fs.members {
         let _ = write!(line, "; →${}", m.dest);
         if let Some(fast) = &m.fast {
@@ -443,14 +473,6 @@ fn fused_scan_line(fs: &FusedScan) -> String {
                 })
                 .collect();
             let _ = write!(line, " fast[{}]", steps.join(", "));
-        }
-        if let Some(band) = &m.band {
-            let ranges: Vec<String> = band
-                .ranges
-                .iter()
-                .map(|(cmp, b)| format!("key {cmp} {}", num_str(b)))
-                .collect();
-            let _ = write!(line, " band(t{}: {})", band.key_pos, ranges.join(", "));
         }
     }
     line
@@ -629,15 +651,15 @@ fn render_stmt(out: &mut String, s: &StmtExplain) {
     if let Some(a) = &s.analyze {
         let _ = writeln!(
             out,
-            "    analyze: rows={} probes={} scans={} entries={} fused={} banded={}/{} \
+            "    analyze: rows={} probes={} scans={} entries={} fused={} range_sum={}/{} \
              corrections={} map_size={}",
             a.rows_written,
             a.probes,
             a.scans,
             a.entries_scanned,
             a.fused_scans,
-            a.banded_hits,
-            a.banded_bails,
+            a.range_sum_hits,
+            a.range_sum_bails,
             a.correction_firings,
             a.map_size
         );
@@ -673,15 +695,15 @@ fn stmt_json(out: &mut String, s: &StmtExplain) {
             let _ = write!(
                 out,
                 "{{\"rows_written\":{},\"probes\":{},\"scans\":{},\"entries_scanned\":{},\
-                 \"fused_scans\":{},\"banded_hits\":{},\"banded_bails\":{},\
+                 \"fused_scans\":{},\"range_sum_hits\":{},\"range_sum_bails\":{},\
                  \"correction_firings\":{},\"map_size\":{}}}",
                 a.rows_written,
                 a.probes,
                 a.scans,
                 a.entries_scanned,
                 a.fused_scans,
-                a.banded_hits,
-                a.banded_bails,
+                a.range_sum_hits,
+                a.range_sum_bails,
                 a.correction_firings,
                 a.map_size
             );
@@ -711,8 +733,8 @@ fn stmt_from_json(v: &json::Json) -> Option<StmtExplain> {
                 scans: field("scans")?,
                 entries_scanned: field("entries_scanned")?,
                 fused_scans: field("fused_scans")?,
-                banded_hits: field("banded_hits")?,
-                banded_bails: field("banded_bails")?,
+                range_sum_hits: field("range_sum_hits")?,
+                range_sum_bails: field("range_sum_bails")?,
                 correction_firings: field("correction_firings")?,
                 map_size: field("map_size")?,
             })

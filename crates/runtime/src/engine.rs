@@ -66,7 +66,8 @@ use dbtoaster_agca::batch::{
     delta_abs_relation_name, delta_relation_name, DeltaBatch, RelationDelta,
 };
 use dbtoaster_agca::eval::{
-    eval_with, eval_with_scratch, matches_pattern, Bindings, EvalError, EvalScratch, RelationSource,
+    eval_with, eval_with_scratch, matches_pattern, Bindings, EvalError, EvalScratch, KeyRange,
+    RelationSource,
 };
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{UpdateEvent, UpdateSign};
@@ -618,6 +619,19 @@ impl<S: RelationSource + ?Sized> RelationSource for DeltaOverlay<'_, S> {
             }
         }
         Ok(())
+    }
+
+    fn range_sum(
+        &self,
+        name: &str,
+        prefix: &[Option<Value>],
+        col: usize,
+        range: &KeyRange,
+    ) -> Option<f64> {
+        if name == self.signed || name == self.absolute {
+            return None;
+        }
+        self.inner.range_sum(name, prefix, col, range)
     }
 }
 
@@ -1743,7 +1757,6 @@ impl Engine {
         } = self;
         let slot = bd.acquire(tidx, stmt_j);
         state.prepare(kernel);
-        state.set_run_entries(run.entries().len());
         let src = CachedSource::new(db);
         let mut first = true;
         for entry in run.entries() {
@@ -1923,7 +1936,6 @@ impl Engine {
         } = self;
         batch.segs.clear();
         state.prepare(kernel);
-        state.set_run_entries(run.entries().len());
         // The whole entries pass is read-only (rows are buffered), so probe
         // and scan targets can be resolved once per name for the batch.
         let src = CachedSource::new(db);
@@ -2247,8 +2259,8 @@ impl Engine {
                     scans: v.scans.load(Relaxed),
                     entries_scanned: v.entries_scanned.load(Relaxed),
                     fused_scans: v.fused_scans.load(Relaxed),
-                    banded_hits: v.banded_hits.load(Relaxed),
-                    banded_bails: v.banded_bails.load(Relaxed),
+                    range_sum_hits: v.range_sum_hits.load(Relaxed),
+                    range_sum_bails: v.range_sum_bails.load(Relaxed),
                     correction_firings: v.correction_firings.load(Relaxed),
                     map_size: v.map_size.load(Relaxed),
                 })
@@ -2365,16 +2377,16 @@ impl Engine {
                     | w.scans
                     | w.entries_scanned
                     | w.fused_scans
-                    | w.banded_hits
-                    | w.banded_bails
+                    | w.range_sum_hits
+                    | w.range_sum_bails
                     != 0
                 {
                     view.probes.fetch_add(w.probes, Relaxed);
                     view.scans.fetch_add(w.scans, Relaxed);
                     view.entries_scanned.fetch_add(w.entries_scanned, Relaxed);
                     view.fused_scans.fetch_add(w.fused_scans, Relaxed);
-                    view.banded_hits.fetch_add(w.banded_hits, Relaxed);
-                    view.banded_bails.fetch_add(w.banded_bails, Relaxed);
+                    view.range_sum_hits.fetch_add(w.range_sum_hits, Relaxed);
+                    view.range_sum_bails.fetch_add(w.range_sum_bails, Relaxed);
                 }
             }
             let rows = std::mem::take(&mut ts.pending_rows[i]);

@@ -38,6 +38,7 @@
 //! ```
 
 pub mod engine;
+mod ordered;
 pub mod shard;
 pub mod store;
 

@@ -32,8 +32,23 @@
 //! the [`RelationSource`] trait) can build an index on first use; afterwards every
 //! partial lookup is a hash probe, which is what gives compiled trigger statements
 //! their constant-time behaviour.
+//!
+//! ## Ordered aggregate indexes
+//!
+//! Inequality-correlated nested aggregates (`Sum(M(p2) * (p2 > p))`, the
+//! finance queries' shape) ask for the multiplicity sum of one bucket's
+//! entries whose free key column lies in a range. [`ViewMap::range_sum`]
+//! answers that from an ordered aggregate index: hashed on the bound key
+//! prefix, each bucket a treap ordered on the free column with subtree sums.
+//! It follows the secondary-index lifecycle exactly — built lazily on first
+//! use, maintained in O(log n) on every write, cleared with the view, held
+//! behind `Arc`s in an `RwLock` registry — and, being derived state, never
+//! reaches a checkpoint or the WAL. It answers only when the result is
+//! bit-identical to a traversal (the guards are documented in `ordered.rs`);
+//! otherwise the caller traverses.
 
-use dbtoaster_agca::eval::{EvalError, RelationSource};
+use crate::ordered::SumTree;
+use dbtoaster_agca::eval::{EvalError, KeyRange, RelationSource};
 use dbtoaster_gmr::hash::fast_map_with_capacity;
 use dbtoaster_gmr::{FastMap, Gmr, Schema, Tuple, Value};
 use parking_lot::RwLock;
@@ -53,6 +68,9 @@ type Index = FastMap<Tuple, FastMap<Tuple, f64>>;
 /// which never actually copies on the engine's single-threaded write path
 /// (no scan handle is alive while `&mut self` methods run).
 type IndexRegistry = FastMap<u64, Arc<Index>>;
+/// Ordered aggregate indexes: ordered column → (every other key position's
+/// values → that bucket's tree). Same `Arc` discipline as [`IndexRegistry`].
+type OrderedRegistry = FastMap<u16, Arc<FastMap<Tuple, SumTree>>>;
 /// A cached snapshot: the shared map and the view version it reflects.
 type SnapshotCache = Option<(u64, Arc<FastMap<Tuple, f64>>)>;
 
@@ -77,6 +95,8 @@ pub struct ViewMap {
     snapshot_cache: RwLock<SnapshotCache>,
     /// Secondary indexes: bitmask of bound key positions → shared index.
     indexes: RwLock<IndexRegistry>,
+    /// Ordered aggregate indexes (see the module docs).
+    ordered: RwLock<OrderedRegistry>,
 }
 
 impl Clone for ViewMap {
@@ -87,6 +107,7 @@ impl Clone for ViewMap {
             version: self.version,
             snapshot_cache: RwLock::new(self.snapshot_cache.read().clone()),
             indexes: RwLock::new(self.indexes.read().clone()),
+            ordered: RwLock::new(self.ordered.read().clone()),
         }
     }
 }
@@ -100,6 +121,7 @@ impl ViewMap {
             version: 0,
             snapshot_cache: RwLock::new(None),
             indexes: RwLock::new(IndexRegistry::default()),
+            ordered: RwLock::new(OrderedRegistry::default()),
         }
     }
 
@@ -171,7 +193,8 @@ impl ViewMap {
         use std::collections::hash_map::Entry;
 
         let indexes = self.indexes.get_mut();
-        if indexes.is_empty() {
+        let ordered = self.ordered.get_mut();
+        if indexes.is_empty() && ordered.is_empty() {
             // Fast path: no index maintenance, no key clone.
             match self.data.entry(key) {
                 Entry::Occupied(mut o) => {
@@ -188,22 +211,47 @@ impl ViewMap {
             return;
         }
 
-        let (removed, new_mult) = match self.data.entry(key.clone()) {
+        // The ordered indexes identify an entry by the key it is *stored*
+        // under: `0` and `-0.0` (or two NaN payloads) are one map entry but
+        // distinct positions under the ordering.
+        let (removed, new_mult, stored) = match self.data.entry(key.clone()) {
             Entry::Occupied(mut o) => {
+                let stored = (!ordered.is_empty()).then(|| o.key().clone());
                 let v = o.get_mut();
                 *v += mult;
                 if *v == 0.0 {
                     o.remove();
-                    (true, 0.0)
+                    (true, 0.0, stored)
                 } else {
-                    (false, *v)
+                    (false, *v, stored)
                 }
             }
             Entry::Vacant(v) => {
                 v.insert(mult);
-                (false, mult)
+                (false, mult, None)
             }
         };
+        if !ordered.is_empty() {
+            let is_new = stored.is_none();
+            let stored = stored.as_ref().unwrap_or(&key);
+            for (&col, index) in ordered.iter_mut() {
+                let index = Arc::make_mut(index);
+                let prefix = project_except(stored, col);
+                let k = &stored[col as usize];
+                if removed {
+                    if let Some(tree) = index.get_mut(&prefix) {
+                        tree.remove(k);
+                        if tree.is_empty() {
+                            index.remove(&prefix);
+                        }
+                    }
+                } else if is_new {
+                    index.entry(prefix).or_default().insert(k, new_mult);
+                } else if let Some(tree) = index.get_mut(&prefix) {
+                    tree.update(k, new_mult);
+                }
+            }
+        }
         for (mask, index) in indexes.iter_mut() {
             let index = Arc::make_mut(index);
             let proj = project_mask(&key, *mask);
@@ -234,6 +282,7 @@ impl ViewMap {
         self.version = self.version.wrapping_add(1);
         self.data.clear();
         self.indexes.get_mut().clear();
+        self.ordered.get_mut().clear();
     }
 
     /// Stream the entries matching a partial binding pattern into `visit`,
@@ -291,6 +340,47 @@ impl ViewMap {
                 .insert(k.clone(), m);
         }
         self.indexes.write().insert(mask, Arc::new(index));
+    }
+
+    /// The exact multiplicity sum of the entries matching `pattern` — every
+    /// position bound except `col` — whose `col` value lies in `range`,
+    /// answered in O(log n) from the ordered aggregate index on `col` (built
+    /// on first use). `None` when the pattern has another free position or
+    /// the answer would not be bit-identical to a traversal's sum.
+    pub fn range_sum(
+        &self,
+        pattern: &[Option<Value>],
+        col: usize,
+        range: &KeyRange,
+    ) -> Option<f64> {
+        let arity = self.schema.arity();
+        if col >= arity.min(u16::MAX as usize) || pattern.len() != arity {
+            return None;
+        }
+        if pattern
+            .iter()
+            .enumerate()
+            .any(|(i, p)| p.is_some() == (i == col))
+        {
+            return None;
+        }
+        let col = col as u16;
+        if !self.ordered.read().contains_key(&col) {
+            let mut index: FastMap<Tuple, SumTree> = FastMap::default();
+            for (k, &m) in self.data.iter() {
+                index
+                    .entry(project_except(k, col))
+                    .or_default()
+                    .insert(&k[col as usize], m);
+            }
+            self.ordered.write().insert(col, Arc::new(index));
+        }
+        let index = self.ordered.read().get(&col).cloned()?;
+        let prefix: Tuple = pattern.iter().flatten().cloned().collect();
+        match index.get(&prefix) {
+            Some(tree) => tree.range_sum(range),
+            None => Some(0.0),
+        }
     }
 
     /// Snapshot the view contents as an immutable shared GMR. O(1) while the
@@ -375,7 +465,14 @@ impl ViewMap {
                     .sum::<usize>()
             })
             .sum();
-        base + idx
+        let ordered: usize = self
+            .ordered
+            .read()
+            .values()
+            .flat_map(|i| i.iter())
+            .map(|(k, tree)| entry(k) + tree.approx_bytes())
+            .sum();
+        base + idx + ordered
     }
 }
 
@@ -393,6 +490,15 @@ fn project_mask(key: &[Value], mask: u64) -> Tuple {
     key.iter()
         .enumerate()
         .filter(|(i, _)| *i < 63 && mask & (1 << i) != 0)
+        .map(|(_, v)| v.clone())
+        .collect()
+}
+
+/// Every key position except `col`, in order.
+fn project_except(key: &[Value], col: u16) -> Tuple {
+    key.iter()
+        .enumerate()
+        .filter(|(i, _)| *i != col as usize)
         .map(|(_, v)| v.clone())
         .collect()
 }
@@ -471,6 +577,16 @@ impl RelationSource for Database {
         m.for_each(pattern, visit);
         Ok(())
     }
+
+    fn range_sum(
+        &self,
+        name: &str,
+        prefix: &[Option<Value>],
+        col: usize,
+        range: &KeyRange,
+    ) -> Option<f64> {
+        self.maps.get(name)?.range_sum(prefix, col, range)
+    }
 }
 
 /// A read-only [`Database`] view that memoizes name→view resolution.
@@ -538,6 +654,16 @@ impl RelationSource for CachedSource<'_> {
             .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
         m.for_each(pattern, visit);
         Ok(())
+    }
+
+    fn range_sum(
+        &self,
+        name: &str,
+        prefix: &[Option<Value>],
+        col: usize,
+        range: &KeyRange,
+    ) -> Option<f64> {
+        self.resolve(name)?.range_sum(prefix, col, range)
     }
 }
 
@@ -680,6 +806,123 @@ mod tests {
         v.clear();
         assert!(v.is_empty());
         assert!(v.lookup(&[Some(Value::long(1)), None]).is_empty());
+    }
+
+    /// Brute-force twin of [`ViewMap::range_sum`]: filter every entry with
+    /// the comparisons a traversal would run, summing in map order.
+    fn brute_range_sum(v: &ViewMap, pattern: &[Option<Value>], col: usize, r: &KeyRange) -> f64 {
+        let mut total = 0.0;
+        v.for_each(pattern, &mut |k, m| {
+            let k = &k[col];
+            let lo =
+                r.lo.as_ref()
+                    .is_none_or(|(b, inc)| if *inc { k >= b } else { k > b });
+            let hi =
+                r.hi.as_ref()
+                    .is_none_or(|(b, inc)| if *inc { k <= b } else { k < b });
+            if lo && hi {
+                total += m;
+            }
+        });
+        total
+    }
+
+    #[test]
+    fn range_sums_match_brute_force_under_random_writes() {
+        let mut v = ViewMap::new(Schema::new(["broker", "price"]));
+        let mut seed = 0x1234_5678_9abc_def0u64;
+        let mut next = |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        for step in 0..3000 {
+            let broker = Value::long(next(3) as i64);
+            // Mixed `Long`/`Double` spellings of one price space: the index
+            // must track entries by the key they are stored under.
+            let p = next(40) as i64 - 20;
+            let price = if next(2) == 0 {
+                Value::long(p)
+            } else {
+                Value::double(p as f64)
+            };
+            v.add(vec![broker, price], next(5) as f64 - 2.0);
+            if step % 40 == 0 {
+                let b = Value::long(next(3) as i64);
+                let pattern = [Some(b), None];
+                let bound = Value::double(next(44) as f64 - 22.0);
+                for r in [
+                    KeyRange {
+                        lo: Some((bound.clone(), false)),
+                        ..KeyRange::default()
+                    },
+                    KeyRange {
+                        hi: Some((bound.clone(), true)),
+                        slack: Some(1000.0),
+                        ..KeyRange::default()
+                    },
+                ] {
+                    match v.range_sum(&pattern, 1, &r) {
+                        Some(got) => {
+                            assert_eq!(
+                                got.to_bits(),
+                                brute_range_sum(&v, &pattern, 1, &r).to_bits()
+                            )
+                        }
+                        // Only a zero price (not a nonzero integral key)
+                        // may refuse a rearranged bound.
+                        None => assert!(r.slack.is_some()),
+                    }
+                }
+            }
+        }
+        // The wrong free position, or a second one, is not a range query.
+        assert_eq!(v.range_sum(&[None, None], 1, &KeyRange::default()), None);
+        assert_eq!(
+            v.range_sum(&[None, Some(Value::long(1))], 1, &KeyRange::default()),
+            None
+        );
+    }
+
+    #[test]
+    fn range_sums_handle_nan_keys_and_refuse_inexact_values() {
+        let mut v = ViewMap::new(Schema::new(["k"]));
+        for (k, m) in [
+            (f64::NAN, 2.0),
+            (1.0, 3.0),
+            (f64::NEG_INFINITY, 5.0),
+            (-0.0, 7.0),
+        ] {
+            v.add(vec![Value::double(k)], m);
+        }
+        let pattern = [None];
+        for b in [Value::long(0), Value::double(f64::NAN), Value::double(-0.0)] {
+            for inc in [false, true] {
+                let r = KeyRange {
+                    lo: Some((b.clone(), inc)),
+                    ..KeyRange::default()
+                };
+                let got = v
+                    .range_sum(&pattern, 0, &r)
+                    .expect("integral multiplicities");
+                assert_eq!(
+                    got.to_bits(),
+                    brute_range_sum(&v, &pattern, 0, &r).to_bits()
+                );
+            }
+        }
+        // An inexact multiplicity refuses, and stops refusing once it leaves.
+        v.add(vec![Value::double(1.0)], 0.1);
+        assert_eq!(v.range_sum(&pattern, 0, &KeyRange::default()), None);
+        v.add(vec![Value::double(1.0)], -3.1);
+        assert_eq!(v.range_sum(&pattern, 0, &KeyRange::default()), Some(14.0));
+        // A `Long` key beyond 2^53 orders lossily against doubles.
+        v.add(vec![Value::long(i64::MAX)], 1.0);
+        assert_eq!(v.range_sum(&pattern, 0, &KeyRange::default()), None);
+        // `clear` drops the index with the entries.
+        v.clear();
+        assert_eq!(v.range_sum(&pattern, 0, &KeyRange::default()), Some(0.0));
     }
 
     #[test]

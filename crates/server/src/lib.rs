@@ -72,6 +72,7 @@
 //! ```
 
 pub mod http;
+mod queue;
 pub mod results;
 pub mod server;
 pub mod shard;

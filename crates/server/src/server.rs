@@ -39,6 +39,7 @@
 //! re-derived).
 
 use crate::http::{HttpConfig, HttpExporter};
+use crate::queue;
 use crate::results::{assemble_result, ResultRow, ResultTable};
 use crate::swap::EpochCell;
 use dbtoaster_agca::eval::{eval_with, matches_pattern, Bindings, EvalError, RelationSource};
@@ -65,7 +66,8 @@ use std::time::{Duration, Instant};
 /// Sizing knobs for a [`ViewServer`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Capacity (in messages) of the bounded ingest queue;
+    /// Capacity (in messages) of the bounded ingest queue, which allocates
+    /// only for the messages actually queued;
     /// [`IngestHandle::send`] blocks (backpressure) when it is full.
     pub queue_capacity: usize,
     /// Maximum events drained into one micro-batch, and the event count that
@@ -399,7 +401,7 @@ pub(crate) struct Shared {
 /// for the architecture and consistency guarantee.
 pub struct ViewServer {
     shared: Arc<Shared>,
-    tx: SyncSender<Msg>,
+    tx: queue::Sender<Msg>,
     writer: Option<JoinHandle<Engine>>,
     http: Option<HttpExporter>,
 }
@@ -482,7 +484,7 @@ impl ViewServer {
             ),
             None => None,
         };
-        let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));
+        let (tx, rx) = queue::bounded(config.queue_capacity);
         let writer = {
             let shared = shared.clone();
             thread::Builder::new()
@@ -805,7 +807,7 @@ impl Drop for ViewServer {
 /// A cloneable producer handle for the bounded ingest queue.
 #[derive(Clone)]
 pub struct IngestHandle {
-    tx: SyncSender<Msg>,
+    tx: queue::Sender<Msg>,
     /// Keeps the queue-depth gauge `/healthz` reports. Producers increment
     /// *before* a (possibly blocking) send and undo on failure, so the
     /// writer's decrement at drain time can never underflow.
@@ -1587,7 +1589,7 @@ impl DurableState {
 
 fn writer_loop(
     mut engine: Engine,
-    rx: Receiver<Msg>,
+    rx: queue::Receiver<Msg>,
     shared: Arc<Shared>,
     mut last: Arc<Snapshot>,
     config: ServerConfig,
@@ -1992,8 +1994,8 @@ pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
                 scans: v.scans,
                 entries_scanned: v.entries_scanned,
                 fused_scans: v.fused_scans,
-                banded_hits: v.banded_hits,
-                banded_bails: v.banded_bails,
+                range_sum_hits: v.range_sum_hits,
+                range_sum_bails: v.range_sum_bails,
                 correction_firings: v.correction_firings,
                 map_size: v.map_size,
             })
@@ -2078,16 +2080,16 @@ pub(crate) fn views_body(shared: &Shared) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"rows_written\":{},\"probes\":{},\"scans\":{},\
-             \"entries_scanned\":{},\"fused_scans\":{},\"banded_hits\":{},\
-             \"banded_bails\":{},\"correction_firings\":{},\"map_size\":{}}}",
+             \"entries_scanned\":{},\"fused_scans\":{},\"range_sum_hits\":{},\
+             \"range_sum_bails\":{},\"correction_firings\":{},\"map_size\":{}}}",
             json_escape(&v.name),
             v.rows_written,
             v.probes,
             v.scans,
             v.entries_scanned,
             v.fused_scans,
-            v.banded_hits,
-            v.banded_bails,
+            v.range_sum_hits,
+            v.range_sum_bails,
             v.correction_firings,
             v.map_size
         ));

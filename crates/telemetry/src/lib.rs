@@ -378,10 +378,10 @@ pub struct ViewCounters {
     pub entries_scanned: AtomicU64,
     /// Fused prelude scan executions.
     pub fused_scans: AtomicU64,
-    /// Banded prelude lookups answered from the sorted prefix-sum cache.
-    pub banded_hits: AtomicU64,
-    /// Banded prelude lookups that bailed to a full traversal.
-    pub banded_bails: AtomicU64,
+    /// Range sums answered by an ordered aggregate index.
+    pub range_sum_hits: AtomicU64,
+    /// Range sums that fell back to a traversal.
+    pub range_sum_bails: AtomicU64,
     /// Second-order batch correction statements fired into this view.
     pub correction_firings: AtomicU64,
     /// Observed map size (entries) at the last engine flush — the input the
@@ -404,10 +404,10 @@ pub struct ViewSummary {
     pub entries_scanned: u64,
     /// See [`ViewCounters::fused_scans`].
     pub fused_scans: u64,
-    /// See [`ViewCounters::banded_hits`].
-    pub banded_hits: u64,
-    /// See [`ViewCounters::banded_bails`].
-    pub banded_bails: u64,
+    /// See [`ViewCounters::range_sum_hits`].
+    pub range_sum_hits: u64,
+    /// See [`ViewCounters::range_sum_bails`].
+    pub range_sum_bails: u64,
     /// See [`ViewCounters::correction_firings`].
     pub correction_firings: u64,
     /// See [`ViewCounters::map_size`].
@@ -773,8 +773,8 @@ impl Telemetry {
                 scans: v.scans.load(Relaxed),
                 entries_scanned: v.entries_scanned.load(Relaxed),
                 fused_scans: v.fused_scans.load(Relaxed),
-                banded_hits: v.banded_hits.load(Relaxed),
-                banded_bails: v.banded_bails.load(Relaxed),
+                range_sum_hits: v.range_sum_hits.load(Relaxed),
+                range_sum_bails: v.range_sum_bails.load(Relaxed),
                 correction_firings: v.correction_firings.load(Relaxed),
                 map_size: v.map_size.load(Relaxed),
             })
@@ -1026,15 +1026,15 @@ impl MetricsSnapshot {
         );
         view_counter(
             &mut out,
-            "banded_hits_total",
-            "Banded prelude lookups answered from the sorted cache.",
-            &|v| v.banded_hits,
+            "range_sum_hits_total",
+            "Range sums answered by an ordered aggregate index.",
+            &|v| v.range_sum_hits,
         );
         view_counter(
             &mut out,
-            "banded_bails_total",
-            "Banded prelude lookups that fell back to a full traversal.",
-            &|v| v.banded_bails,
+            "range_sum_bails_total",
+            "Range sums that fell back to a traversal.",
+            &|v| v.range_sum_bails,
         );
         view_counter(
             &mut out,

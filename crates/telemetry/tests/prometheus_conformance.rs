@@ -39,6 +39,8 @@ fn populated() -> Telemetry {
     v.probes.fetch_add(5, Relaxed);
     v.scans.fetch_add(2, Relaxed);
     v.entries_scanned.fetch_add(40, Relaxed);
+    v.range_sum_hits.fetch_add(9, Relaxed);
+    v.range_sum_bails.fetch_add(1, Relaxed);
     v.map_size.store(13, Relaxed);
     let evil = tel.view("weird\"name\\with\nnewline").unwrap();
     evil.rows_written.fetch_add(1, Relaxed);
@@ -241,6 +243,19 @@ fn every_sample_parses_with_conformant_names_and_declared_family() {
             "family {family} has no HELP line"
         );
     }
+    // The ordered-index counters are exported under their own names.
+    for (family, value) in [
+        ("dbtoaster_view_range_sum_hits_total", 9.0),
+        ("dbtoaster_view_range_sum_bails_total", 1.0),
+    ] {
+        assert_eq!(exp.types.get(family).map(String::as_str), Some("counter"));
+        assert!(
+            exp.samples.iter().any(|s| s.name == family
+                && s.labels.iter().any(|(k, v)| k == "view" && v == "m_axf_1")
+                && s.value == value),
+            "{family} missing for m_axf_1"
+        );
+    }
     // Summary families carry quantile samples plus _sum and _count.
     for (family, kind) in &exp.types {
         if kind == "summary" {
@@ -288,6 +303,7 @@ fn counters_are_monotone_across_successive_snapshots() {
     v.rows_written.fetch_add(2, Relaxed);
     v.probes.fetch_add(1, Relaxed);
     v.scans.fetch_add(1, Relaxed);
+    v.range_sum_hits.fetch_add(4, Relaxed);
     let second = parse_exposition(&tel.render_prometheus());
 
     let key = |s: &Sample| (s.name.clone(), s.labels.clone());
